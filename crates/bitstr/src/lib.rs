@@ -46,9 +46,10 @@ pub use bits::{BitSlice, BitStr, Bits};
 /// Machine word size in bits — the paper's `w`.
 pub const WORD_BITS: usize = 64;
 
-/// Mask keeping the `n` most-significant bits of a left-aligned chunk.
+/// Mask keeping the `n` most-significant bits of a left-aligned chunk
+/// (all of it for `n >= 64`).
 #[inline]
-pub(crate) fn mask_left(x: u64, n: usize) -> u64 {
+pub fn mask_left(x: u64, n: usize) -> u64 {
     if n >= 64 {
         x
     } else if n == 0 {

@@ -467,12 +467,13 @@ impl PimTrie {
                             panic!("pull: unexpected response")
                         };
                         let (_, pieces) = &pulls[origin[m][j]];
+                        let index = pulled_index(self.cfg.hash_width, &entries);
                         let mut work = 0u64;
                         for piece in pieces {
                             new_matches.extend(cpu_match_entries(
                                 &self.hasher,
-                                self.cfg.hash_width,
                                 piece,
+                                &index,
                                 &entries,
                                 &mut work,
                             ));
@@ -761,16 +762,10 @@ fn flag_tags(flagged: &mut [bool], tags: &[u32]) {
     }
 }
 
-/// CPU-side HashMatching against pulled entries (the pull arm of
-/// Algorithm 5).
-fn cpu_match_entries(
-    hasher: &bitstr::hash::PolyHasher,
-    width: bitstr::hash::HashWidth,
-    piece: &QueryPiece,
-    entries: &[EntrySummary],
-    work: &mut u64,
-) -> Vec<RootMatch> {
-    let mut index: HashIndex<usize> = HashIndex::new(width);
+/// The index of a pulled meta-block's entries, built once per
+/// `FetchMeta` reply and shared by every piece matched against it.
+fn pulled_index(width: bitstr::hash::HashWidth, entries: &[EntrySummary]) -> HashIndex<usize> {
+    let mut index = HashIndex::new(width);
     for (i, e) in entries.iter().enumerate() {
         index.insert(IndexEntry {
             depth: e.depth,
@@ -780,7 +775,19 @@ fn cpu_match_entries(
             target: i,
         });
     }
-    hash_match_piece(hasher, piece, &index, work)
+    index
+}
+
+/// CPU-side HashMatching against pulled entries (the pull arm of
+/// Algorithm 5).
+fn cpu_match_entries(
+    hasher: &bitstr::hash::PolyHasher,
+    piece: &QueryPiece,
+    index: &HashIndex<usize>,
+    entries: &[EntrySummary],
+    work: &mut u64,
+) -> Vec<RootMatch> {
+    hash_match_piece(hasher, piece, index, work)
         .into_iter()
         .map(|m| {
             let e = &entries[m.target];

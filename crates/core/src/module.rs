@@ -1105,9 +1105,11 @@ pub fn handle(
             if let Some(i) = mb.children.iter().position(|c| c.mref == mref) {
                 let c = mb.children.remove(i);
                 mb.index.remove(c.entry_slot);
-                // child indices in the index targets shift — repair them
+                // child indices in the index targets shift — repair them,
+                // keeping the per-rem slot order a re-insert would leave
                 for (j, c) in mb.children.iter().enumerate().skip(i) {
-                    patch_target(&mut mb.index, c.entry_slot, LocalTarget::Child(j as u32));
+                    mb.index
+                        .set_target_requeue(c.entry_slot, LocalTarget::Child(j as u32));
                 }
             }
             mb.chunk_children.retain(|(m, _)| *m != mref);
@@ -1223,7 +1225,7 @@ pub fn handle(
                     depth: n.depth,
                     hash: n.hash,
                 });
-                patch_target(&mut mb.index, entry_slot, LocalTarget::Own(ns));
+                mb.index.set_target(entry_slot, LocalTarget::Own(ns));
                 node_slots.push(ns);
             }
             // wire parents mirroring the block tree
@@ -1420,15 +1422,6 @@ fn summarize_meta(mb: &MetaBlock, slot: u32, my: u32) -> Vec<EntrySummary> {
     out
 }
 
-fn patch_target(index: &mut HashIndex<LocalTarget>, slot: u32, t: LocalTarget) {
-    // HashIndex has no in-place mutate; remove+insert would churn. Expose a
-    // tiny unsafe-free path: re-insert with the same payload.
-    let e = index.remove(slot).expect("patch_target: missing entry");
-    let new_slot = index.insert(IndexEntry { target: t, ..e });
-    // Slab reuses the freed slot, so the id is stable.
-    debug_assert_eq!(new_slot, slot);
-}
-
 fn put_meta(
     state: &mut ModuleState,
     _my: u32,
@@ -1460,7 +1453,7 @@ fn put_meta(
             depth: n.depth,
             hash: n.hash,
         });
-        patch_target(&mut mb.index, entry_slot, LocalTarget::Own(ns));
+        mb.index.set_target(entry_slot, LocalTarget::Own(ns));
         node_slots.push(ns);
     }
     // parent links
@@ -1483,10 +1476,8 @@ fn put_meta(
             pre_hash: c.pre_hash,
             rem: c.rem.0.clone(),
             s_last: c.s_last.0.clone(),
-            target: LocalTarget::Child(0),
+            target: LocalTarget::Child(mb.children.len() as u32),
         });
-        let idx = mb.children.len() as u32;
-        patch_target(&mut mb.index, entry_slot, LocalTarget::Child(idx));
         mb.children.push(MetaChildInfo {
             mref: c.mref,
             under_node: node_slots[c.under_node as usize],

@@ -13,10 +13,15 @@
 //!   locates the exit node of a query string in `O(log l)` hash probes.
 //! * [`RemIndex`] — the second-layer index PIM-trie builds per meta-block
 //!   (§4.4.2): a set of strings shorter than `w` bits, each padded with 0s
-//!   and 1s into the y-fast trie, plus per-integer *validity vectors*; a
-//!   query returns the stored string with the longest LCP such that no
-//!   equally-matching stored string is a proper prefix of it — i.e. the
-//!   critical block root or one of its direct children.
+//!   and 1s, plus per-integer *validity vectors*; a query returns the
+//!   stored string with the longest LCP such that no equally-matching
+//!   stored string is a proper prefix of it — i.e. the critical block root
+//!   or one of its direct children. The paper keeps the paddings in a
+//!   y-fast trie; here they are the keys of one ordered map, probed by
+//!   predecessor/successor the same way, so the answers are identical
+//!   while updates cost `O(log n)` and probes allocate nothing. This
+//!   matters because one group (`S_pre = ε`, every root shallower than
+//!   `w`) holds most of the index.
 
 #![warn(missing_docs)]
 

@@ -1,4 +1,4 @@
-//! The second-layer index of §4.4.2: y-fast trie + validity vectors.
+//! The second-layer index of §4.4.2: padded `S_rem` keys + validity vectors.
 //!
 //! It maintains a set `K` of bit-strings, each at most `w` bits. For a
 //! query string `Q` (also at most `w` bits) it returns the stored string
@@ -7,30 +7,37 @@
 //! block roots in this structure; the returned string is then either the
 //! critical block root itself or one of its direct children (Figure 5).
 //!
-//! Implementation, straight from the paper: every stored string is padded
-//! to `w` bits twice — once with 0s, once with 1s — and both paddings enter
-//! a y-fast trie. Because distinct strings can pad to the same integer, a
-//! per-integer *validity vector* records which prefix lengths correspond to
-//! actually-stored strings. A query pads `Q` the same way, takes the
-//! predecessor and successor of both paddings, and resolves each candidate
-//! through its validity vector: the shortest valid length exceeding the
-//! query LCP, or the longest valid length not exceeding it; the best of
-//! those (longest real LCP, then shortest string) is the answer.
+//! Implementation, following the paper: every stored string is padded to
+//! `w` bits twice — once with 0s, once with 1s — and both paddings enter
+//! an ordered set of `w`-bit integers. Because distinct strings can pad to
+//! the same integer, a per-integer *validity vector* records which prefix
+//! lengths correspond to actually-stored strings. A query pads `Q` the same
+//! way, takes the predecessor and successor of both paddings, and resolves
+//! each candidate through its validity vector: the shortest valid length
+//! exceeding the query LCP, or the longest valid length not exceeding it;
+//! the best of those (longest real LCP, then shortest string) is the
+//! answer.
+//!
+//! The paper keeps the padded integers in a y-fast trie for `O(log w)`
+//! probes. Here they are the keys of one ordered map (padded integer →
+//! validity vector), so predecessor/successor are `range` probes over the
+//! same key set and every query answer is identical to the y-fast form;
+//! updates are `O(log n)` with no per-level hashing, and a probe allocates
+//! nothing ([`RemIndex::query_word`]). In PIM-trie one group holds every
+//! block root shallower than `w` bits (their `S_pre` is empty), most of
+//! the index, so the per-update cost of this group is what the index
+//! build pays.
 
-use crate::yfast::YFastTrie;
-use bitstr::{BitSlice, BitStr};
-// lint: allow(unordered-iter) — validity vectors are looked up by the
-// exact padded integer (probe-only, never iterated), so hash order is
-// unobservable; candidate order is fixed by the explicit sort in query.
-use std::collections::HashMap;
+use bitstr::{mask_left, BitSlice, BitStr};
+use std::collections::BTreeMap;
 
 /// Second-layer index over bit-strings of length `0..=w` (`w <= 64`).
 pub struct RemIndex {
     w: u32,
-    yfast: YFastTrie,
     /// padded integer -> bitmask of valid prefix lengths (bit `l` set iff
-    /// the length-`l` prefix of the integer is a stored string).
-    validity: HashMap<u64, u128>, // lint: allow(unordered-iter) — probed by key, never iterated
+    /// the length-`l` prefix of the integer is a stored string). The key
+    /// set is exactly the set of paddings of stored strings.
+    padded: BTreeMap<u64, u128>,
     len: usize,
 }
 
@@ -40,8 +47,7 @@ impl RemIndex {
         assert!((1..=64).contains(&w));
         RemIndex {
             w,
-            yfast: YFastTrie::new(w),
-            validity: HashMap::new(), // lint: allow(unordered-iter) — see field
+            padded: BTreeMap::new(),
             len: 0,
         }
     }
@@ -56,18 +62,13 @@ impl RemIndex {
         self.len == 0
     }
 
-    fn pad(&self, s: BitSlice<'_>, ones: bool) -> u64 {
-        let fill = self.w as usize - s.len(); // 0..=64
-        let mut v = if fill == 64 { 0 } else { s.to_u64() << fill };
+    /// `q` (left-aligned, `len <= w` bits, bits past `len` ignored) padded
+    /// to a right-aligned `w`-bit integer with 0s or 1s.
+    fn pad(&self, q: u64, len: usize, ones: bool) -> u64 {
+        let fill = self.w as usize - len; // 0..=64
+        let mut v = mask_left(q, len) >> (64 - self.w);
         if ones && fill > 0 {
-            v |= if fill == 64 {
-                u64::MAX
-            } else {
-                (1u64 << fill) - 1
-            };
-        }
-        if self.w < 64 {
-            debug_assert!(v < (1u64 << self.w));
+            v |= u64::MAX >> (64 - fill);
         }
         v
     }
@@ -75,16 +76,14 @@ impl RemIndex {
     /// Insert a string (set semantics); returns false if already present.
     pub fn insert(&mut self, s: BitSlice<'_>) -> bool {
         assert!(s.len() <= self.w as usize, "string longer than w");
-        let l = s.len() as u32;
+        let (q, l) = (s.chunk(0, s.len()), s.len());
         let mut added = false;
         for ones in [false, true] {
-            let p = self.pad(s, ones);
-            let mask = self.validity.entry(p).or_insert(0);
+            let mask = self.padded.entry(self.pad(q, l, ones)).or_insert(0);
             if *mask & (1u128 << l) == 0 {
                 *mask |= 1u128 << l;
                 added = true;
             }
-            self.yfast.insert(p);
         }
         if added {
             self.len += 1;
@@ -95,18 +94,17 @@ impl RemIndex {
     /// Remove a string; returns false if absent.
     pub fn remove(&mut self, s: BitSlice<'_>) -> bool {
         assert!(s.len() <= self.w as usize);
-        let l = s.len() as u32;
+        let (q, l) = (s.chunk(0, s.len()), s.len());
         let mut removed = false;
         for ones in [false, true] {
-            let p = self.pad(s, ones);
-            if let Some(mask) = self.validity.get_mut(&p) {
+            let p = self.pad(q, l, ones);
+            if let Some(mask) = self.padded.get_mut(&p) {
                 if *mask & (1u128 << l) != 0 {
                     *mask &= !(1u128 << l);
                     removed = true;
                 }
                 if *mask == 0 {
-                    self.validity.remove(&p);
-                    self.yfast.remove(p);
+                    self.padded.remove(&p);
                 }
             }
         }
@@ -118,8 +116,8 @@ impl RemIndex {
 
     /// Membership test.
     pub fn contains(&self, s: BitSlice<'_>) -> bool {
-        let p = self.pad(s, false);
-        self.validity
+        let p = self.pad(s.chunk(0, s.len()), s.len(), false);
+        self.padded
             .get(&p)
             .map(|m| m & (1u128 << s.len()) != 0)
             .unwrap_or(false)
@@ -129,7 +127,7 @@ impl RemIndex {
     ///
     /// Guarantees (see the `child_or_self_property_random` test, which also
     /// encodes why the literal "global max LCP" reading of the paper's prose
-    /// is not achievable with O(1) y-fast probes):
+    /// is not achievable with O(1) predecessor probes):
     ///
     /// * the result is a stored string;
     /// * `lcp(q, result) >= |R|` where `R` is the longest stored prefix of
@@ -144,27 +142,46 @@ impl RemIndex {
     ///
     /// `None` iff the index is empty.
     pub fn query(&self, q: BitSlice<'_>) -> Option<BitStr> {
-        assert!(q.len() <= self.w as usize);
+        let (bits, len) = self.query_word(q.chunk(0, q.len()), q.len())?;
+        let mut s = BitStr::with_capacity(len);
+        s.push_chunk(bits, len);
+        Some(s)
+    }
+
+    /// [`query`](Self::query) on a word: `q` holds the query's `len <= w`
+    /// bits left-aligned (bits past `len` are ignored); the result is the
+    /// stored string as `(left-aligned bits, length)`, zero past its
+    /// length. Allocates nothing.
+    pub fn query_word(&self, q: u64, len: usize) -> Option<(u64, usize)> {
+        assert!(len <= self.w as usize);
         if self.is_empty() {
             return None;
         }
-        let q0 = self.pad(q, false);
-        let q1 = self.pad(q, true);
-        let mut cands: Vec<u64> = Vec::with_capacity(8);
-        for x in [q0, q1] {
-            cands.extend(self.yfast.pred_or_eq(x));
-            cands.extend(self.yfast.succ_or_eq(x));
+        let q = mask_left(q, len);
+        let mut cands = [(0u64, 0u128); 4];
+        let mut n = 0;
+        for x in [self.pad(q, len, false), self.pad(q, len, true)] {
+            let pred = self.padded.range(..=x).next_back();
+            let succ = self.padded.range(x..).next();
+            for (&c, &mask) in pred.into_iter().chain(succ) {
+                cands[n] = (c, mask);
+                n += 1;
+            }
         }
-        cands.sort_unstable();
-        cands.dedup();
+        let cands = &mut cands[..n];
+        cands.sort_unstable_by_key(|&(c, _)| c);
 
-        // (real LCP, -(len) tiebreak) maximisation
-        let mut best: Option<(usize, BitStr)> = None;
-        for c in cands {
-            let cbits = BitStr::from_u64(c, self.w as usize);
-            let mask = self.validity[&c];
+        // (real LCP, -(len) tiebreak) maximisation, candidates ascending
+        let mut best: Option<(usize, u64, usize)> = None;
+        let mut prev = None;
+        for &(c, mask) in cands.iter() {
+            if prev == Some(c) {
+                continue;
+            }
+            prev = Some(c);
+            let cbits = c << (64 - self.w);
             // LCP of the query *string* with the padded candidate.
-            let l = q.lcp(&cbits.slice(0..self.w as usize)).min(q.len());
+            let l = ((q ^ cbits).leading_zeros() as usize).min(len);
             // Resolution order: a string of length exactly `l` is the match
             // point itself; otherwise the shortest longer one is a direct
             // child of the match point; otherwise fall back to the deepest
@@ -175,16 +192,14 @@ impl RemIndex {
             } else {
                 shortest_valid_above(mask, l).or_else(|| longest_valid_at_or_below(mask, l))?
             };
-            let s = cbits.slice(0..pick).to_bitstr();
             let real = l.min(pick);
-            match &best {
-                Some((bl, bs))
-                    if (*bl, std::cmp::Reverse(bs.len())) >= (real, std::cmp::Reverse(s.len())) => {
-                }
-                _ => best = Some((real, s)),
+            match best {
+                Some((bl, _, blen))
+                    if (bl, std::cmp::Reverse(blen)) >= (real, std::cmp::Reverse(pick)) => {}
+                _ => best = Some((real, mask_left(cbits, pick), pick)),
             }
         }
-        best.map(|(_, s)| s)
+        best.map(|(_, bits, len)| (bits, len))
     }
 }
 
