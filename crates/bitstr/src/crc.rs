@@ -11,7 +11,10 @@
 //!
 //! The combine therefore needs carry-less multiply-mod, implemented here in
 //! portable software (no CPU intrinsics), with `x^(2^k) mod G` precomputed
-//! for fast `x^n mod G`.
+//! for fast `x^n mod G`. Appending whole bytes needs no multiply: the
+//! table-driven step `crc(S·b) = ((crc(S) << 8) | b) ⊕ T[crc(S) >> 56]`
+//! with `T[i] = i·x^64 mod G` is what [`hash_bits`](IncrementalHash::hash_bits)
+//! and [`Crc64Hasher::extend_words`] run.
 //!
 //! This module exists to demonstrate that PIM-trie's hash-manager machinery
 //! is generic over the hash function: both [`Crc64Hasher`] and
@@ -77,9 +80,9 @@ pub struct Crc64Hasher {
     poly: u64,
     /// x^(2^k) mod G for k in 0..64 (k=0 is x^1).
     xpow2: [u64; 64],
-    /// byte_tab[v] = crc of the 8-bit string v (MSB-first), i.e.
-    /// poly(v) mod G where v's MSB has exponent 7.
-    byte_tab: [u64; 256],
+    /// tab[i] = i·x^64 mod G: the reduction of the byte shifted out of
+    /// the top of the register by one table-driven byte step.
+    tab: [u64; 256],
 }
 
 impl Crc64Hasher {
@@ -91,20 +94,16 @@ impl Crc64Hasher {
         for k in 1..64 {
             xpow2[k] = gf2_mulmod(xpow2[k - 1], xpow2[k - 1], poly);
         }
-        let mut byte_tab = [0u64; 256];
-        for (v, slot) in byte_tab.iter_mut().enumerate() {
-            let mut h = 0u64;
-            for j in (0..8).rev() {
-                // bits MSB-first: shift in each bit
-                h = Self::shift_in(h, (v >> j) & 1 == 1, poly);
+        let mut tab = [0u64; 256];
+        for (i, slot) in tab.iter_mut().enumerate() {
+            // i·x^56 is already reduced; eight more shifts make it i·x^64
+            let mut h = (i as u64) << 56;
+            for _ in 0..8 {
+                h = Self::shift_in(h, false, poly);
             }
             *slot = h;
         }
-        Crc64Hasher {
-            poly,
-            xpow2,
-            byte_tab,
-        }
+        Crc64Hasher { poly, xpow2, tab }
     }
 
     /// ECMA-182 generator.
@@ -124,6 +123,26 @@ impl Crc64Hasher {
             h ^= poly;
         }
         h
+    }
+
+    /// crc(S·b) from crc(S) for one 8-bit string `b` (MSB-first).
+    #[inline]
+    fn push_byte(&self, h: u64, b: u8) -> u64 {
+        ((h << 8) | b as u64) ^ self.tab[(h >> 56) as usize]
+    }
+
+    /// crc(S·w₀·w₁·…) from `h = crc(S)`: each word is 64 message bits,
+    /// most-significant bit first. Equals folding
+    /// [`combine(h, w, 64)`](IncrementalHash::combine) over the words, one
+    /// table lookup per byte instead of a carry-less multiply per word.
+    pub fn extend_words(&self, h: HashVal, words: &[u64]) -> HashVal {
+        let mut h = h.0;
+        for &w in words {
+            for b in w.to_be_bytes() {
+                h = self.push_byte(h, b);
+            }
+        }
+        HashVal(h)
     }
 
     /// `x^n mod G`.
@@ -151,9 +170,7 @@ impl IncrementalHash for Crc64Hasher {
         let mut i = 0;
         // bytes at a time, then the ragged tail bit-by-bit
         while i + 8 <= s.len() {
-            let byte = (s.chunk(i, 8) >> 56) as usize;
-            // h·x^8 + poly(byte)
-            h = gf2_mulmod(h, self.xpow(8), self.poly) ^ self.byte_tab[byte];
+            h = self.push_byte(h, (s.chunk(i, 8) >> 56) as u8);
             i += 8;
         }
         while i < s.len() {

@@ -157,6 +157,34 @@ proptest! {
     }
 
     #[test]
+    fn crc_word_stream_matches_hash_bits_and_combine_fold(
+        words in proptest::collection::vec(any::<u64>(), 0..24),
+        head in arb_bits(),
+    ) {
+        // the table-driven word stream the wire seal runs is the same
+        // CRC-64/ECMA as hash_bits over those bits and as the per-word
+        // combine fold, from the empty string and from any prefix
+        use bitstr::hash::HashVal;
+        use bitstr::BitSlice;
+        let h = Crc64Hasher::ecma();
+        let streamed = h.extend_words(HashVal(0), &words);
+        let bits = BitSlice::from_words(&words, 0, 64 * words.len());
+        prop_assert_eq!(streamed, h.hash_bits(bits));
+        let folded = words
+            .iter()
+            .fold(HashVal(0), |acc, &w| h.combine(acc, HashVal(w), 64));
+        prop_assert_eq!(streamed, folded);
+        let mut all: Vec<bool> = (0..64 * words.len())
+            .map(|i| words[i / 64] >> (63 - i % 64) & 1 == 1)
+            .collect();
+        let sh = BitStr::from_bits(head.iter().copied());
+        let resumed = h.extend_words(h.hash_str(&sh), &words);
+        let mut msg = head.clone();
+        msg.append(&mut all);
+        prop_assert_eq!(resumed.0, crc64_bitwise(&msg));
+    }
+
+    #[test]
     fn hashes_separate_unequal_strings(a in arb_bits(), b in arb_bits()) {
         // not a tautology: full-width poly hashes collide with prob ~2^-61,
         // so unequal inputs must hash differently in practice

@@ -20,16 +20,16 @@
 //!   *meter* the encoded size and index fault words. Receivers never
 //!   decode — module handlers keep operating on the shipped Rust
 //!   values.
+//!   The same walk, run standalone ([`standalone_frame`]), is what the
+//!   fault-tolerant envelope's CRC seal covers (`wire_guard`), so one
+//!   field schema serves both metering and integrity.
 //! * [`Decode`] is the mirror. It exists to *prove losslessness*: the
 //!   round-trip tests in this module encode a message group, decode it
-//!   back, and check semantic equality (via the wire-guard fingerprint)
-//!   and re-encode identity. If `Decode` can reconstruct the message,
-//!   the metered size is an honest size for the information actually
-//!   shipped.
-//!
-//! Frame schemas deliberately reuse the `wire_guard` fingerprint tag numbering
-//! (`Req` 1–32, `Resp` 1–14) so the two wire descriptions of each enum
-//! cannot drift apart silently.
+//!   back, and check that each decoded message has the original's
+//!   standalone frame, and that the group re-encodes identically. If
+//!   `Decode` can reconstruct the message, the metered size is an honest
+//!   size for the information actually shipped — and the seal covers
+//!   every field.
 //!
 //! Paper: PIM-tree (Kang et al.) charges every bound in words moved;
 //! this module is where the reproduction's words/op floor is attacked
@@ -58,6 +58,18 @@ use trie_core::{NodeId, Trie};
 pub trait Encode {
     /// Append this value's fields to the encoder.
     fn enc(&self, e: &mut Enc);
+}
+
+/// `v` encoded as one frame into a fresh [`Enc`]. All delta and label
+/// streams start zeroed, so the words depend on the value alone — not on
+/// the frames before it in a group, nor on the negotiated codec. This is
+/// the byte string the wire seal's CRC covers.
+pub(crate) fn standalone_frame<T: Encode>(v: &T) -> Enc {
+    let mut e = Enc::new();
+    e.begin_frame();
+    v.enc(&mut e);
+    e.end_frame();
+    e
 }
 
 /// Mirror of [`Encode`]: reconstruct the value from the encoded stream.
@@ -682,8 +694,8 @@ codec_struct!(DescendOut {
     anchor_off
 });
 
-// Variant tags reuse the `Fingerprint` numbering (`wire_guard.rs`),
-// `WIRE_FORMAT.md` §"Frames and groups".
+// Variant tags are fixed numbers (`Req` 1–32, `Resp` 1–14), listed in
+// `WIRE_FORMAT.md` §"Structural frames of the PIM-trie protocol".
 impl Encode for Req {
     fn enc(&self, e: &mut Enc) {
         match self {
@@ -1114,7 +1126,6 @@ impl Decode for Resp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire_guard::seal_crc;
     use pim_sim::Wire;
     use proptest::prelude::*;
 
@@ -1142,11 +1153,12 @@ mod tests {
         }
     }
 
-    /// Encode a group, decode it in order, check semantic equality (via
-    /// the wire-guard fingerprint) and re-encode identity.
+    /// Encode a group, decode it in order, check that each decoded
+    /// message has the original's standalone frame (so tries compare by
+    /// content) and re-encode identity.
     fn roundtrip_group<T>(msgs: &[T])
     where
-        T: Wire + Decode + crate::wire_guard::Fingerprint,
+        T: Wire + Encode + Decode,
     {
         let mut enc = Enc::new();
         let sizes: Vec<u64> = msgs
@@ -1167,8 +1179,8 @@ mod tests {
         }
         for (a, b) in msgs.iter().zip(&out) {
             assert_eq!(
-                seal_crc(0, 0, 0, a),
-                seal_crc(0, 0, 0, b),
+                standalone_frame(a).words(),
+                standalone_frame(b).words(),
                 "decoded message is semantically different"
             );
         }

@@ -2,8 +2,8 @@
 //! math.
 //!
 //! Every *decision* threshold in the metered crates — the adaptive
-//! hot-block share, the migration trigger and target ratios, the
-//! scapegoat α — goes through [`Fx`] instead of `f64`. The two differ
+//! hot-block share, the migration trigger and target ratios — goes
+//! through [`Fx`] instead of `f64`. The two differ
 //! where it matters: `f64` rounding is sensitive to the architecture,
 //! the FPU flags, and the optimizer's re-association, while a Q32.32
 //! integer computes bit-identically on every target. The `pimtrie-lint`
@@ -56,8 +56,8 @@ impl Fx {
 
     /// Exactly `milli / 1000` — rounded to nearest only when `2^32 ·
     /// milli` is not divisible by 1000 (i.e. the same value every build
-    /// computes, with no floating point involved). `Fx::from_milli(750)`
-    /// is the idiomatic spelling of the paper's `α = 0.75`.
+    /// computes, with no floating point involved). `Fx::from_milli(250)`
+    /// is the idiomatic spelling of a 0.25 share.
     pub const fn from_milli(milli: u64) -> Fx {
         Fx(((((milli as u128) << Self::FRAC_BITS) + 500) / 1000) as u64)
     }

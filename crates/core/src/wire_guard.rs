@@ -4,12 +4,17 @@
 //! When [`PimTrieConfig::fault_tolerance`](crate::PimTrieConfig) is on,
 //! every CPU↔PIM message travels inside a [`SealedReq`] / [`SealedResp`]
 //! envelope: a `(seq, idx)` frame header identifying the request within
-//! its round, plus a CRC-64/ECMA checksum over the header and a digest of
-//! the payload (the same plain-remainder CRC used by
-//! [`bitstr::crc::Crc64Hasher`] — the paper's "second incremental hash").
-//! The envelope costs two extra wire words per message; with fault
-//! tolerance off none of this code runs and metering is bit-identical to
-//! the unguarded build.
+//! its round, plus a CRC-64/ECMA checksum ([`seal_crc`]) over the header
+//! and the payload's standalone structural frame — the same field schema
+//! ([`crate::codec::Encode`]) that Compact metering encodes, so each
+//! message has one field description for both. The CRC is the
+//! plain-remainder one of [`bitstr::crc::Crc64Hasher`] (the paper's
+//! "second incremental hash"), run table-driven over the words. The
+//! envelope costs two extra wire words per message; with fault tolerance
+//! off none of this code runs and metering is bit-identical to the
+//! unguarded build. Receivers do not decode frames yet, so injected
+//! flips land on the envelope (`seq`/`idx` or the CRC word), never on
+//! payload fields.
 //!
 //! The module side ([`handle_sealed`]) implements three defenses:
 //!
@@ -32,11 +37,10 @@
 //! its retried-request count lands on the same scope, so sealed-wire
 //! recovery cost is separable from the op's own rounds in the trace.
 
+use crate::codec::{standalone_frame, Encode};
 use crate::module::{handle, ModuleState, Req, Resp};
-use crate::refs::{BitsMsg, BlockRef, MetaRef};
 use bitstr::crc::Crc64Hasher;
-use bitstr::hash::{HashVal, IncrementalHash, PolyHasher};
-use bitstr::BitStr;
+use bitstr::hash::{HashVal, PolyHasher};
 use pim_sim::{PimCtx, Wire};
 use std::sync::OnceLock;
 
@@ -48,546 +52,16 @@ fn crc64() -> &'static Crc64Hasher {
     CRC.get_or_init(Crc64Hasher::ecma)
 }
 
-/// Running CRC-64 fingerprint sink: words are absorbed via the hasher's
-/// associative combine (`acc·x^64 ⊕ word`), i.e. the digest is the CRC of
-/// the concatenated word stream.
-pub(crate) struct Fp {
-    acc: HashVal,
-}
-
-impl Fp {
-    fn new() -> Self {
-        Fp { acc: HashVal(0) }
-    }
-
-    #[inline]
-    fn word(&mut self, w: u64) {
-        self.acc = crc64().combine(self.acc, HashVal(w), 64);
-    }
-
-    fn finish(self) -> u64 {
-        self.acc.0
-    }
-}
-
-/// Types whose semantic content can be folded into a wire checksum.
-///
-/// Large opaque payloads (shipped tries, query pieces) contribute their
-/// structural size rather than full content: the simulator's fault layer
-/// cannot corrupt them in flight (their [`Wire::flip_bit`] is a no-op),
-/// so the checksum only has to cover what can actually change on the
-/// simulated wire — and any flip that would land in an opaque payload is
-/// rerouted to the envelope's CRC word, where it is always detected.
-pub(crate) trait Fingerprint {
-    fn feed(&self, fp: &mut Fp);
-}
-
-macro_rules! fp_scalar {
-    ($($t:ty),*) => {
-        $(impl Fingerprint for $t {
-            #[inline]
-            fn feed(&self, fp: &mut Fp) {
-                fp.word(*self as u64);
-            }
-        })*
-    };
-}
-
-fp_scalar!(u8, u16, u32, u64, usize, i64);
-
-impl Fingerprint for bool {
-    fn feed(&self, fp: &mut Fp) {
-        fp.word(*self as u64);
-    }
-}
-
-impl Fingerprint for HashVal {
-    fn feed(&self, fp: &mut Fp) {
-        fp.word(self.0);
-    }
-}
-
-impl Fingerprint for BlockRef {
-    fn feed(&self, fp: &mut Fp) {
-        fp.word((self.module as u64) << 32 | self.slot as u64);
-    }
-}
-
-impl Fingerprint for MetaRef {
-    fn feed(&self, fp: &mut Fp) {
-        fp.word((self.module as u64) << 32 | self.slot as u64);
-    }
-}
-
-impl Fingerprint for BitStr {
-    fn feed(&self, fp: &mut Fp) {
-        let s = self.as_slice();
-        fp.word(s.len() as u64);
-        let mut i = 0;
-        while i < s.len() {
-            fp.word(s.chunk(i, 64.min(s.len() - i)));
-            i += 64;
-        }
-    }
-}
-
-impl Fingerprint for BitsMsg {
-    fn feed(&self, fp: &mut Fp) {
-        self.0.feed(fp);
-    }
-}
-
-impl<T: Fingerprint> Fingerprint for Option<T> {
-    fn feed(&self, fp: &mut Fp) {
-        match self {
-            None => fp.word(0),
-            Some(v) => {
-                fp.word(1);
-                v.feed(fp);
-            }
-        }
-    }
-}
-
-impl<T: Fingerprint> Fingerprint for Vec<T> {
-    fn feed(&self, fp: &mut Fp) {
-        fp.word(self.len() as u64);
-        for v in self {
-            v.feed(fp);
-        }
-    }
-}
-
-impl<A: Fingerprint, B: Fingerprint> Fingerprint for (A, B) {
-    fn feed(&self, fp: &mut Fp) {
-        self.0.feed(fp);
-        self.1.feed(fp);
-    }
-}
-
-/// Opaque payloads: digest the structural wire size (see trait docs).
-macro_rules! fp_opaque {
-    ($($t:ty),*) => {
-        $(impl Fingerprint for $t {
-            fn feed(&self, fp: &mut Fp) {
-                fp.word(self.wire_words());
-            }
-        })*
-    };
-}
-
-fp_opaque!(crate::refs::TrieMsg, crate::hvm::QueryPiece);
-
-impl Fingerprint for crate::module::GraftMsg {
-    fn feed(&self, fp: &mut Fp) {
-        self.anchor_node.feed(fp);
-        self.anchor_off.feed(fp);
-        self.subtree.feed(fp);
-    }
-}
-
-impl Fingerprint for crate::module::PutBlockMsg {
-    fn feed(&self, fp: &mut Fp) {
-        self.trie.feed(fp);
-        self.root_depth.feed(fp);
-        self.root_hash.feed(fp);
-        self.s_last.feed(fp);
-        self.pre_hash.feed(fp);
-        self.rem.feed(fp);
-        self.parent.feed(fp);
-        self.mirrors.feed(fp);
-    }
-}
-
-impl Fingerprint for crate::module::NewMetaNode {
-    fn feed(&self, fp: &mut Fp) {
-        self.block.feed(fp);
-        self.depth.feed(fp);
-        self.hash.feed(fp);
-        self.pre_hash.feed(fp);
-        self.rem.feed(fp);
-        self.s_last.feed(fp);
-    }
-}
-
-impl Fingerprint for crate::module::NewMetaChild {
-    fn feed(&self, fp: &mut Fp) {
-        self.mref.feed(fp);
-        self.under_node.feed(fp);
-        self.root_block.feed(fp);
-        self.root_node_slot.feed(fp);
-        self.depth.feed(fp);
-        self.pre_hash.feed(fp);
-        self.rem.feed(fp);
-        self.s_last.feed(fp);
-    }
-}
-
-impl Fingerprint for crate::module::PutMetaMsg {
-    fn feed(&self, fp: &mut Fp) {
-        self.nodes.feed(fp);
-        self.root_idx.feed(fp);
-        self.parent.feed(fp);
-        self.children.feed(fp);
-        self.chunks.feed(fp);
-        self.parents.feed(fp);
-    }
-}
-
-impl Fingerprint for crate::module::MasterAddMsg {
-    fn feed(&self, fp: &mut Fp) {
-        self.mref.feed(fp);
-        self.root_block.feed(fp);
-        self.root_node_slot.feed(fp);
-        self.depth.feed(fp);
-        self.pre_hash.feed(fp);
-        self.rem.feed(fp);
-        self.s_last.feed(fp);
-    }
-}
-
-impl Fingerprint for Req {
-    fn feed(&self, fp: &mut Fp) {
-        match self {
-            Req::MatchMaster(p) => {
-                fp.word(1);
-                p.feed(fp);
-            }
-            Req::MatchMeta { slot, piece } => {
-                fp.word(2);
-                slot.feed(fp);
-                piece.feed(fp);
-            }
-            Req::MatchBlock { slot, piece } => {
-                fp.word(3);
-                slot.feed(fp);
-                piece.feed(fp);
-            }
-            Req::FetchMeta { slot } => {
-                fp.word(4);
-                slot.feed(fp);
-            }
-            Req::FetchBlock { slot } => {
-                fp.word(5);
-                slot.feed(fp);
-            }
-            Req::GraftMany { slot, grafts } => {
-                fp.word(6);
-                slot.feed(fp);
-                grafts.feed(fp);
-            }
-            Req::ReadKey { slot, node, depth } => {
-                fp.word(7);
-                slot.feed(fp);
-                node.feed(fp);
-                depth.feed(fp);
-            }
-            Req::DeleteKey { slot, node, depth } => {
-                fp.word(8);
-                slot.feed(fp);
-                node.feed(fp);
-                depth.feed(fp);
-            }
-            Req::MergeChild {
-                slot,
-                child,
-                subtree,
-            } => {
-                fp.word(9);
-                slot.feed(fp);
-                child.feed(fp);
-                subtree.feed(fp);
-            }
-            Req::ReplaceBlock {
-                slot,
-                trie,
-                mirrors,
-            } => {
-                fp.word(10);
-                slot.feed(fp);
-                trie.feed(fp);
-                mirrors.feed(fp);
-            }
-            Req::RemoveMetaChild { slot, mref } => {
-                fp.word(11);
-                slot.feed(fp);
-                mref.feed(fp);
-            }
-            Req::PutBlock(p) => {
-                fp.word(12);
-                p.feed(fp);
-            }
-            Req::PutMeta(p) => {
-                fp.word(13);
-                p.feed(fp);
-            }
-            Req::ReplaceMeta { slot, msg } => {
-                fp.word(14);
-                slot.feed(fp);
-                msg.feed(fp);
-            }
-            Req::FetchMetaFull { slot } => {
-                fp.word(15);
-                slot.feed(fp);
-            }
-            Req::DropBlock { slot } => {
-                fp.word(16);
-                slot.feed(fp);
-            }
-            Req::DropMeta { slot } => {
-                fp.word(17);
-                slot.feed(fp);
-            }
-            Req::SetMirror { slot, node, child } => {
-                fp.word(18);
-                slot.feed(fp);
-                node.feed(fp);
-                child.feed(fp);
-            }
-            Req::SetParent { slot, parent } => {
-                fp.word(19);
-                slot.feed(fp);
-                parent.feed(fp);
-            }
-            Req::SetBlockMeta {
-                slot,
-                meta,
-                meta_slot,
-            } => {
-                fp.word(20);
-                slot.feed(fp);
-                meta.feed(fp);
-                meta_slot.feed(fp);
-            }
-            Req::AddMetaNodes {
-                slot,
-                parent_node,
-                nodes,
-                parents,
-            } => {
-                fp.word(21);
-                slot.feed(fp);
-                parent_node.feed(fp);
-                nodes.feed(fp);
-                parents.feed(fp);
-            }
-            Req::RemoveMetaNode { slot, node } => {
-                fp.word(22);
-                slot.feed(fp);
-                node.feed(fp);
-            }
-            Req::SetMetaParent { slot, parent } => {
-                fp.word(23);
-                slot.feed(fp);
-                parent.feed(fp);
-            }
-            Req::MasterAdd(m) => {
-                fp.word(24);
-                m.feed(fp);
-            }
-            Req::MasterRemove { mref } => {
-                fp.word(25);
-                mref.feed(fp);
-            }
-            Req::FetchSubtree { slot, node, off } => {
-                fp.word(26);
-                slot.feed(fp);
-                node.feed(fp);
-                off.feed(fp);
-            }
-            Req::DescendBlock { slot, bits } => {
-                fp.word(27);
-                slot.feed(fp);
-                bits.feed(fp);
-            }
-            Req::ResetModule => fp.word(28),
-            Req::BlockStats { slot } => {
-                fp.word(29);
-                slot.feed(fp);
-            }
-            Req::MetaNodeKind { slot, node } => {
-                fp.word(30);
-                slot.feed(fp);
-                node.feed(fp);
-            }
-            Req::RelinkMirror { slot, old, new } => {
-                fp.word(31);
-                slot.feed(fp);
-                old.feed(fp);
-                new.feed(fp);
-            }
-            Req::SetMetaNodeBlock { slot, node, block } => {
-                fp.word(32);
-                slot.feed(fp);
-                node.feed(fp);
-                block.feed(fp);
-            }
-        }
-    }
-}
-
-impl Fingerprint for crate::module::RootMatch {
-    fn feed(&self, fp: &mut Fp) {
-        self.qt_below.feed(fp);
-        self.depth.feed(fp);
-        self.block.feed(fp);
-        self.meta.feed(fp);
-        self.node_slot.feed(fp);
-        self.descend.feed(fp);
-    }
-}
-
-impl Fingerprint for crate::module::BlockNodeResult {
-    fn feed(&self, fp: &mut Fp) {
-        self.tag.feed(fp);
-        self.depth.feed(fp);
-        self.anchor_node.feed(fp);
-        self.anchor_off.feed(fp);
-        self.at_mirror.feed(fp);
-        self.redirect.feed(fp);
-    }
-}
-
-impl Fingerprint for crate::module::EntrySummary {
-    fn feed(&self, fp: &mut Fp) {
-        self.depth.feed(fp);
-        self.pre_hash.feed(fp);
-        self.rem.feed(fp);
-        self.s_last.feed(fp);
-        self.target.block.feed(fp);
-        self.target.meta.feed(fp);
-        self.target.node_slot.feed(fp);
-        self.target.descend.feed(fp);
-    }
-}
-
-impl Fingerprint for Resp {
-    fn feed(&self, fp: &mut Fp) {
-        match self {
-            Resp::Matches(v) => {
-                fp.word(1);
-                v.feed(fp);
-            }
-            Resp::BlockResults { results, collision } => {
-                fp.word(2);
-                results.feed(fp);
-                collision.feed(fp);
-            }
-            Resp::MetaSummary { entries } => {
-                fp.word(3);
-                entries.feed(fp);
-            }
-            Resp::BlockData(b) => {
-                fp.word(4);
-                b.trie.feed(fp);
-                b.root_depth.feed(fp);
-                b.root_hash.feed(fp);
-                b.s_last.feed(fp);
-                b.pre_hash.feed(fp);
-                b.rem.feed(fp);
-                b.parent.feed(fp);
-                b.mirrors.feed(fp);
-                match &b.meta {
-                    None => fp.word(0),
-                    Some((m, s)) => {
-                        fp.word(1);
-                        m.feed(fp);
-                        s.feed(fp);
-                    }
-                }
-            }
-            Resp::MetaFull(m) => {
-                fp.word(5);
-                fp.word(m.nodes.len() as u64);
-                for n in &m.nodes {
-                    n.slot.feed(fp);
-                    n.block.feed(fp);
-                    n.parent.feed(fp);
-                    n.depth.feed(fp);
-                    n.hash.feed(fp);
-                    n.pre_hash.feed(fp);
-                    n.rem.feed(fp);
-                    n.s_last.feed(fp);
-                }
-                m.root_node.feed(fp);
-                m.parent.feed(fp);
-                fp.word(m.children.len() as u64);
-                for (c, depth, pre, rem, s_last) in &m.children {
-                    c.mref.feed(fp);
-                    c.under_node.feed(fp);
-                    c.root_block.feed(fp);
-                    c.root_node_slot.feed(fp);
-                    depth.feed(fp);
-                    pre.feed(fp);
-                    rem.feed(fp);
-                    s_last.feed(fp);
-                }
-                m.chunk_children.feed(fp);
-            }
-            Resp::BlockVitals {
-                weight,
-                keys,
-                children,
-                keys_delta,
-                collision,
-            } => {
-                fp.word(6);
-                weight.feed(fp);
-                keys.feed(fp);
-                children.feed(fp);
-                (*keys_delta as u64).feed(fp);
-                collision.feed(fp);
-            }
-            Resp::Placed {
-                slot,
-                node_slots,
-                count,
-            } => {
-                fp.word(7);
-                slot.feed(fp);
-                node_slots.feed(fp);
-                count.feed(fp);
-            }
-            Resp::MetaVitals { nodes, parent } => {
-                fp.word(8);
-                nodes.feed(fp);
-                parent.feed(fp);
-            }
-            Resp::Subtree {
-                trie,
-                children,
-                depth,
-            } => {
-                fp.word(9);
-                trie.feed(fp);
-                children.feed(fp);
-                depth.feed(fp);
-            }
-            Resp::Descend(d) => {
-                fp.word(10);
-                d.consumed.feed(fp);
-                d.next.feed(fp);
-                d.anchor_node.feed(fp);
-                d.anchor_off.feed(fp);
-            }
-            Resp::Value(v) => {
-                fp.word(11);
-                v.feed(fp);
-            }
-            Resp::Ok => fp.word(12),
-            Resp::CorruptReq => fp.word(13),
-            Resp::Rebooted => fp.word(14),
-        }
-    }
-}
-
-pub(crate) fn seal_crc<T: Fingerprint>(domain: u64, seq: u64, idx: u32, inner: &T) -> u64 {
-    let mut fp = Fp::new();
-    fp.word(domain);
-    fp.word(seq);
-    fp.word(idx as u64);
-    inner.feed(&mut fp);
-    fp.finish()
+/// The seal: CRC-64/ECMA of the word stream `[domain, seq, idx]`
+/// followed by the inner message's standalone structural frame (the
+/// compact encoding of `inner` alone, see [`standalone_frame`]). The
+/// frame is lossless, so every field of the message — shipped tries and
+/// query pieces included — is covered, and it depends on the value only,
+/// not on its place in the round's group or on the negotiated codec.
+pub(crate) fn seal_crc<T: Encode>(domain: u64, seq: u64, idx: u32, inner: &T) -> u64 {
+    let crc = crc64();
+    let head = crc.extend_words(HashVal(0), &[domain, seq, idx as u64]);
+    crc.extend_words(head, standalone_frame(inner).words()).0
 }
 
 macro_rules! sealed {
@@ -599,7 +73,7 @@ macro_rules! sealed {
             pub seq: u64,
             /// Index of the request within the module's inbox.
             pub idx: u32,
-            /// CRC-64 over the frame header and the payload digest.
+            /// CRC-64 over the frame header and the payload's frame.
             pub crc: u64,
             /// The payload.
             pub inner: $inner,
@@ -628,47 +102,38 @@ macro_rules! sealed {
                 2 + self.inner.wire_words()
             }
 
-            /// Fan the flip over the whole frame. A flip that would land
-            /// in a payload whose `flip_bit` is a no-op (opaque to the
-            /// fault layer) is rerouted to the CRC word, so every injected
-            /// flip both lands and is detectable.
+            /// Fan the flip over the whole frame: word 0 hits `seq`/`idx`,
+            /// every later word the CRC word, so every injected flip both
+            /// lands and is detectable.
             fn flip_bit(&mut self, r: u64) -> bool {
                 let words = self.wire_words();
-                let w = r % words;
                 let bit = r / words;
-                match w {
-                    0 => {
-                        if bit % 64 < 48 {
-                            self.seq ^= 1 << (bit % 48);
-                        } else {
-                            self.idx ^= 1 << (bit % 32);
-                        }
-                        true
+                if r % words == 0 {
+                    if bit % 64 < 48 {
+                        self.seq ^= 1 << (bit % 48);
+                    } else {
+                        self.idx ^= 1 << (bit % 32);
                     }
-                    1 => {
-                        self.crc ^= 1 << (bit % 64);
-                        true
-                    }
-                    _ => {
-                        if !self.inner.flip_bit(bit) {
-                            self.crc ^= 1 << (bit % 64);
-                        }
-                        true
-                    }
+                } else {
+                    // Payload flips wait for receivers that decode: handlers
+                    // get Rust values, so a flip past the CRC word is
+                    // rerouted to it.
+                    self.crc ^= 1 << (bit % 64);
                 }
+                true
             }
 
             /// Compact frame: delta-coded `seq`, varint `idx`, the raw
             /// CRC word (incompressible), then the payload's structural
-            /// frame (see [`crate::codec`]). The CRC still covers the
-            /// semantic message — fault flips land on encoded word
-            /// indices but corrupt semantic fields, so detection is
-            /// unchanged under either codec.
+            /// frame (see [`crate::codec`]). The CRC covers the payload's
+            /// *standalone* frame, so it is the same under either codec;
+            /// fault flips land on encoded word indices but corrupt
+            /// envelope fields, so detection is unchanged too.
             fn encode_frame(&self, enc: &mut pim_sim::Enc) {
                 enc.put_delta(pim_sim::codec_stream::SEQ, self.seq);
                 enc.put_varint(self.idx as u64);
                 enc.put_word(self.crc);
-                crate::codec::Encode::enc(&self.inner, enc);
+                self.inner.enc(enc);
             }
         }
     };
@@ -710,6 +175,8 @@ pub(crate) fn handle_sealed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::refs::{BitsMsg, TrieMsg};
+    use bitstr::BitStr;
 
     #[test]
     fn seal_verify_roundtrip() {
@@ -737,6 +204,69 @@ mod tests {
             );
             assert!(s.flip_bit(r));
             assert!(!s.verify(), "resp flip {r} went undetected");
+        }
+    }
+
+    fn trie(keys: &[(&str, u64)]) -> trie_core::Trie {
+        let mut t = trie_core::Trie::new();
+        for &(k, v) in keys {
+            t.insert(&BitStr::from_bin_str(k), v);
+        }
+        t
+    }
+
+    fn piece(t: trie_core::Trie) -> crate::hvm::QueryPiece {
+        let tags = (0..t.id_bound() as u32).collect();
+        crate::hvm::QueryPiece {
+            trie: t,
+            tags,
+            root_depth: 9,
+            root_pre_hash: HashVal(3),
+            root_rem: BitStr::from_bin_str("01"),
+        }
+    }
+
+    fn put_block(t: trie_core::Trie) -> Req {
+        Req::PutBlock(crate::module::PutBlockMsg {
+            trie: TrieMsg(t),
+            root_depth: 64,
+            root_hash: HashVal(11),
+            s_last: BitsMsg(BitStr::from_bin_str("0011")),
+            pre_hash: HashVal(12),
+            rem: BitsMsg(BitStr::from_bin_str("01")),
+            parent: None,
+            mirrors: vec![],
+        })
+    }
+
+    /// Tries and query pieces are sealed by content, not by size: two
+    /// messages whose tries have equal wire sizes but differ in one edge
+    /// bit or one value get different CRCs.
+    #[test]
+    fn seal_covers_trie_and_piece_content() {
+        let base = [("00110", 1), ("01011", 2), ("1110", 3)];
+        let edge_bit = [("00111", 1), ("01011", 2), ("1110", 3)];
+        let value = [("00110", 1), ("01011", 7), ("1110", 3)];
+        for other in [&edge_bit, &value] {
+            let (a, b) = (trie(&base), trie(other));
+            assert_eq!(a.size_words(), b.size_words());
+            let ra = SealedReq::seal(1, 0, put_block(a.clone()));
+            let rb = SealedReq::seal(1, 0, put_block(b.clone()));
+            assert_eq!(ra.wire_words(), rb.wire_words());
+            assert_ne!(ra.crc, rb.crc, "PutBlock trie content not sealed");
+            let pa = SealedReq::seal(1, 0, Req::MatchMaster(piece(a.clone())));
+            let pb = SealedReq::seal(1, 0, Req::MatchMaster(piece(b.clone())));
+            assert_eq!(pa.wire_words(), pb.wire_words());
+            assert_ne!(pa.crc, pb.crc, "query piece content not sealed");
+            let subtree = |t| Resp::Subtree {
+                trie: TrieMsg(t),
+                children: vec![],
+                depth: 5,
+            };
+            let sa = SealedResp::seal(1, 0, subtree(a));
+            let sb = SealedResp::seal(1, 0, subtree(b));
+            assert_eq!(sa.wire_words(), sb.wire_words());
+            assert_ne!(sa.crc, sb.crc, "reply trie content not sealed");
         }
     }
 
